@@ -13,10 +13,11 @@ from repro.build import (
     xbuild,
 )
 from repro.build.sampling import RegionSampler
-from repro.datasets import generate_imdb
+from repro.datasets import generate_imdb, generate_xmark
 from repro.estimation import TwigEstimator
 from repro.query import count_bindings
 from repro.synopsis import TwigXSketch, XSketchConfig
+from repro.synopsis.persist import sketch_from_dict, sketch_to_dict
 from repro.workload import (
     WorkloadGenerator,
     WorkloadSpec,
@@ -175,3 +176,16 @@ class TestXBuildLoop:
         ).run()
         assert seen
         assert seen == sorted(seen)
+
+    def test_recursive_document_build_loads_strictly(self):
+        # XMark's recursive tags give self-loop synopsis edges; every split
+        # of such a node must leave no edge naming the dead node.
+        tree = generate_xmark(1500, seed=1)
+        budget = TwigXSketch.coarsest(tree).size_bytes() + 1024
+        sketch = XBuild(tree, budget, seed=55).run().sketch
+        sketch.validate()
+        assert all(
+            source in sketch.graph.nodes and target in sketch.graph.nodes
+            for source, target in sketch.graph.edges
+        )
+        sketch_from_dict(sketch_to_dict(sketch), strict=True)

@@ -13,6 +13,16 @@ def fig1_synopsis():
     return label_split_synopsis(figure1_document())
 
 
+def recounted_edges(synopsis):
+    """Edge key -> (child count, parent count), counted from scratch."""
+    counts, parents = {}, {}
+    for parent, child in synopsis.tree.iter_edges():
+        key = (synopsis.node_of(parent), synopsis.node_of(child))
+        counts[key] = counts.get(key, 0) + 1
+        parents.setdefault(key, set()).add(parent.node_id)
+    return {key: (counts[key], len(parents[key])) for key in counts}
+
+
 def node_by_tag(synopsis, tag):
     nodes = synopsis.nodes_with_tag(tag)
     assert len(nodes) == 1
@@ -164,6 +174,23 @@ class TestSplitNode:
         first, second = fig1_synopsis.split_node(paper.node_id, {p5.node_id})
         assert fig1_synopsis.edge(first, keyword.node_id).child_count == 2
         assert fig1_synopsis.edge(second, keyword.node_id).child_count == 3
+
+    def test_split_recursive_node_drops_its_self_loop(self):
+        # a -> a is a self-loop of the label-split synopsis; after the split
+        # no edge may name the dead node, and the edges equal a recount.
+        tree = build_tree(("a", [("a", [("a", ["b"]), "b"]), ("a", ["b"])]))
+        synopsis = label_split_synopsis(tree)
+        a = node_by_tag(synopsis, "a")
+        assert synopsis.edge(a.node_id, a.node_id) is not None
+        first, second = synopsis.split_node(a.node_id, {tree.root.node_id})
+        assert all(a.node_id not in key for key in synopsis.edges)
+        synopsis.validate()
+        assert recounted_edges(synopsis) == {
+            key: (edge.child_count, edge.parent_count)
+            for key, edge in synopsis.edges.items()
+        }
+        assert synopsis.edge(first, second).child_count == 2
+        assert synopsis.edge(second, second).child_count == 1
 
 
 class TestFromPartition:
