@@ -66,13 +66,8 @@ def _backward_bisimulation(graph: GraphSynopsis) -> None:
             if edge.backward_stable or graph.edge(edge.source, edge.target) is None:
                 continue
             target = graph.node(edge.target)
-            part = {
-                element.node_id
-                for element in target.extent
-                if element.parent is not None
-                and graph.node_of(element.parent) == edge.source
-            }
-            if part and len(part) < target.count:
+            part = graph.with_parent_in(edge.target, edge.source)
+            if len(part) and len(part) < target.count:
                 graph.split_node(edge.target, part)
                 changed = True
                 break

@@ -21,6 +21,7 @@ import random
 from collections import Counter
 from typing import Iterable, Optional
 
+from ..doc.arena import distinct
 from ..doc.node import DocumentNode
 from ..doc.tree import DocumentTree
 from ..query.ast import Path, Step, TwigNode, TwigQuery
@@ -103,39 +104,27 @@ def _value_refine_candidates(sketch: TwigXSketch) -> list[Refinement]:
     ]
 
 
-def _value_observations(
-    node, child_tag: Optional[str]
-) -> list[object]:
-    """The value population a split/expand over ``child_tag`` would see."""
+def _value_observations(graph, members, child_tag: Optional[str]) -> list[object]:
+    """The value population a split/expand over ``child_tag`` would see:
+    the members' own values, or each member's first valued ``child_tag``
+    child's value."""
+    arena = graph.arena
     if child_tag is None:
-        return [e.value for e in node.extent if e.value is not None]
-    values = []
-    for element in node.extent:
-        for child in element.children:
-            if child.tag == child_tag and child.value is not None:
-                values.append(child.value)
-                break
-    return values
+        return arena.values_of(members)
+    values = arena.first_child_values(members, child_tag)
+    return [value for value in values if value is not None]
 
 
-def _value_sources(node) -> list[Optional[str]]:
+def _value_sources(graph, members) -> list[Optional[str]]:
     """Candidate value sources at a node: own values, then child tags."""
+    arena = graph.arena
     sources: list[Optional[str]] = []
-    if any(e.value is not None for e in node.extent):
+    if arena.has_value[members].any():
         sources.append(None)
-    child_tags: list[str] = []
-    for element in node.extent:
-        for child in element.children:
-            if child.value is not None and child.tag not in child_tags:
-                child_tags.append(child.tag)
-    sources.extend(sorted(child_tags))
+    _, children = arena.children(members)
+    valued = distinct(arena.tag[children[arena.has_value[children]]])
+    sources.extend(sorted(arena.tags[tag_id] for tag_id in valued.tolist()))
     return sources
-
-
-def _matching_part_size(node, predicate, child_tag) -> int:
-    """How many extent elements a ValueSplit with these settings captures."""
-    probe = ValueSplit(node.node_id, predicate, child_tag)
-    return sum(1 for element in node.extent if probe._matches(element))
 
 
 def _value_split_proposals(
@@ -147,28 +136,27 @@ def _value_split_proposals(
     most frequent values; numeric sources ground a median split with a
     ``<`` predicate.  Only proper partitions are proposed.
     """
-    node = sketch.graph.node(node_id)
+    graph = sketch.graph
+    node = graph.node(node_id)
     proposals: list[Refinement] = []
-    for child_tag in _value_sources(node):
-        values = _value_observations(node, child_tag)
+    for child_tag in _value_sources(graph, node.members):
+        values = _value_observations(graph, node.members, child_tag)
         if len(values) < 2:
             continue
         numeric = [v for v in values if isinstance(v, (int, float))]
         if len(numeric) == len(values):
             median = sorted(numeric)[len(numeric) // 2]
-            predicate = ValuePredicate("<", median)
-            part = _matching_part_size(node, predicate, child_tag)
-            if 0 < part < node.count:
-                proposals.append(ValueSplit(node_id, predicate, child_tag))
+            split = ValueSplit(node_id, ValuePredicate("<", median), child_tag)
+            if 0 < len(split.part(graph)) < node.count:
+                proposals.append(split)
             continue
         frequency = Counter(str(v) for v in values)
         for value, count in frequency.most_common(_SPLIT_VALUE_LIMIT):
             if count < 2:
                 continue  # near-unique strings: splits shave single elements
-            predicate = ValuePredicate("=", value)
-            part = _matching_part_size(node, predicate, child_tag)
-            if 0 < part < node.count:
-                proposals.append(ValueSplit(node_id, predicate, child_tag))
+            split = ValueSplit(node_id, ValuePredicate("=", value), child_tag)
+            if 0 < len(split.part(graph)) < node.count:
+                proposals.append(split)
     return proposals
 
 
@@ -182,9 +170,10 @@ def _value_expand_proposals(
     count scope takes the node's heaviest forward edges (the dimensions
     most likely to correlate with the value).
     """
-    node = sketch.graph.node(node_id)
+    graph = sketch.graph
+    members = graph.node(node_id).members
     forward = sorted(
-        sketch.graph.children_of(node_id),
+        graph.children_of(node_id),
         key=lambda edge: edge.child_count,
         reverse=True,
     )
@@ -196,10 +185,10 @@ def _value_expand_proposals(
         return []
     existing = {summary.value_tag for summary in sketch.extended_at(node_id)}
     proposals: list[Refinement] = []
-    for value_tag in _value_sources(node):
+    for value_tag in _value_sources(graph, members):
         if value_tag in existing:
             continue
-        values = _value_observations(node, value_tag)
+        values = _value_observations(graph, members, value_tag)
         if len(values) < 2:
             continue
         numeric = [v for v in values if isinstance(v, (int, float))]
@@ -273,16 +262,17 @@ class RegionSampler:
         Synopsis ids with no live node are skipped; an entirely dead (or
         extent-less) region yields an empty list.
         """
-        witnesses: list[DocumentNode] = []
+        witnesses: list[int] = []
         for node_id in region_ids:
             node = sketch.graph.nodes.get(node_id)
             if node is not None:
-                witnesses.extend(node.extent)
+                witnesses.extend(node.members.tolist())
         if not witnesses:
             return []
+        nodes = self.tree.nodes()
         sampled: list[TwigQuery] = []
         for _ in range(queries):
-            witness = self.rng.choice(witnesses)
+            witness = nodes[self.rng.choice(witnesses)]
             sampled.append(self._query_around(witness))
         return sampled
 

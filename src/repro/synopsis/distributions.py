@@ -9,15 +9,17 @@ over the elements of ``n_i``; each dimension is an :class:`EdgeRef`:
   ancestor node: the value is the number of children in ``n_z`` of ``e``'s
   nearest ancestor in ``n_a``.
 
-This module computes the distribution exactly from the document (via the
-synopsis extents); compression to a histogram happens in
-:mod:`repro.synopsis.summary`.
+This module computes the distribution exactly from the document, as
+counts over the arena's columns (see :mod:`repro.doc.arena`); compression
+to a histogram happens in :mod:`repro.synopsis.summary`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from ..errors import SynopsisError
 from ..histogram.sparse import SparseDistribution
@@ -62,36 +64,16 @@ def exact_edge_distribution(
                 f"scope references missing edge {ref.source}->{ref.target}"
             )
 
-    forward_targets = [r.target for r in scope if r.is_forward_at(node_id)]
-    backward_refs = [r for r in scope if not r.is_forward_at(node_id)]
-
-    observations: list[tuple[int, ...]] = []
-    for element in node.extent:
-        values: dict[EdgeRef, int] = {}
-        if forward_targets:
-            tally: dict[int, int] = {}
-            for child in element.children:
-                child_node = synopsis.node_of(child)
-                tally[child_node] = tally.get(child_node, 0) + 1
-            for ref in scope:
-                if ref.is_forward_at(node_id):
-                    values[ref] = tally.get(ref.target, 0)
-        for ref in backward_refs:
-            anchor = (
-                element
-                if ref.source == node_id
-                else synopsis.ancestor_in(element, ref.source)
-            )
-            if anchor is None:
-                values[ref] = 0
-                continue
-            values[ref] = sum(
-                1
-                for child in anchor.children
-                if synopsis.node_of(child) == ref.target
-            )
-        observations.append(tuple(values[ref] for ref in scope))
-    return SparseDistribution.from_observations(observations)
+    members = node.members
+    columns = []
+    for ref in scope:
+        if ref.is_forward_at(node_id):
+            columns.append(synopsis.child_counts(members, ref.target).tolist())
+            continue
+        anchors = synopsis.nearest_ancestors(members, ref.source)
+        counts = synopsis.child_counts(anchors, ref.target)
+        columns.append(np.where(anchors >= 0, counts, 0).tolist())
+    return SparseDistribution.from_observations(zip(*columns))
 
 
 def mean_child_count(

@@ -271,17 +271,15 @@ class TwigXSketch:
                     f"{ref.source}->{ref.target}"
                 )
 
-        observations = []
-        for element in self.graph.node(node_id).extent:
-            tally: dict[int, int] = {}
-            value = element.value if value_tag is None else None
-            for child in element.children:
-                child_node = self.graph.node_of(child)
-                tally[child_node] = tally.get(child_node, 0) + 1
-                if value_tag is not None and value is None and child.tag == value_tag:
-                    value = child.value
-            counts = tuple(tally.get(ref.target, 0) for ref in scope)
-            observations.append((value, counts))
+        members = self.graph.node(node_id).members
+        if value_tag is None:
+            values = self.graph.arena.value[members].tolist()
+        else:
+            values = self.graph.arena.first_child_values(members, value_tag)
+        counts = zip(
+            *(self.graph.child_counts(members, ref.target).tolist() for ref in scope)
+        )
+        observations = list(zip(values, counts))
         histogram = ValueCountHistogram(observations, value_buckets, count_buckets)
         return ExtendedValueSummary(
             node_id, value_tag, scope, histogram, value_buckets, count_buckets
@@ -295,11 +293,7 @@ class TwigXSketch:
         self, node_id: int, buckets: int
     ) -> Optional[ValueSummary]:
         """Build a value histogram for ``node_id``; None when valueless."""
-        values = [
-            element.value
-            for element in self.graph.node(node_id).extent
-            if element.value is not None
-        ]
+        values = self.graph.arena.values_of(self.graph.node(node_id).members)
         if not values:
             return None
         return ValueSummary(node_id, build_value_histogram(values, buckets), buckets)
