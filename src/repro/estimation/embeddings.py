@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 from ..errors import EstimationError
 from ..query.ast import DESCENDANT, Path, Step, TwigNode, TwigQuery
 from ..query.values import ValuePredicate
-from ..synopsis.graph import GraphSynopsis
+from ..synopsis.graph import IndexedGraph
 
 #: Default cap on the length of a ``//`` expansion (synopsis hops).
 DEFAULT_MAX_DESCENDANT_DEPTH = 12
@@ -123,7 +123,7 @@ class Embedding:
 
 
 def _chain_expansions(
-    synopsis: GraphSynopsis,
+    synopsis: IndexedGraph,
     context: Optional[int],
     path: Path,
     max_depth: int,
@@ -138,17 +138,19 @@ def _chain_expansions(
     evaluator).
     """
 
+    index = synopsis.index()
+    tags = index.tags
+
     def continuations(
         current: Optional[int], step: Step
     ) -> Iterator[list[tuple[int, Step]]]:
         if current is None:
-            for node in synopsis.nodes_with_tag(step.tag):
-                yield [(node.node_id, step)]
+            for node_id in index.by_tag.get(step.tag, ()):
+                yield [(node_id, step)]
             return
         if step.axis != DESCENDANT:
-            for candidate in synopsis.children_of(current):
-                if synopsis.node(candidate.target).tag == step.tag:
-                    yield [(candidate.target, step)]
+            for target in index.tagged.get((current, step.tag), ()):
+                yield [(target, step)]
             return
         # Descendant axis: DFS over synopsis *walks* of length >= 1.  Walks
         # may revisit nodes (recursive tags like section/section produce
@@ -159,23 +161,22 @@ def _chain_expansions(
         # breadth-first so shorter (higher-selectivity) chains come first
         # when the yield cap truncates the enumeration
         queue: list[list[int]] = [
-            [edge.target] for edge in synopsis.children_of(current)
+            [edge.target] for edge in index.out.get(current, ())
         ]
         position = 0
         while position < len(queue):
             chain = queue[position]
             position += 1
             tail = chain[-1]
-            if synopsis.node(tail).tag == step.tag:
+            if tags[tail] == step.tag:
                 yielded += 1
                 if yielded > MAX_DESCENDANT_CHAINS:
                     return
                 yield [
-                    (node_id, Step(synopsis.node(node_id).tag))
-                    for node_id in chain[:-1]
+                    (node_id, Step(tags[node_id])) for node_id in chain[:-1]
                 ] + [(tail, step)]
             if len(chain) < max_depth:
-                for edge in synopsis.children_of(tail):
+                for edge in index.out.get(tail, ()):
                     explored += 1
                     if explored > MAX_DESCENDANT_EXPLORATION:
                         return
@@ -196,7 +197,7 @@ def _chain_expansions(
 
 
 def _embed_branch(
-    synopsis: GraphSynopsis,
+    synopsis: IndexedGraph,
     context: int,
     branch: Path,
     max_depth: int,
@@ -232,7 +233,7 @@ def _embed_branch(
 
 def enumerate_embeddings(
     query: TwigQuery,
-    synopsis: GraphSynopsis,
+    synopsis: IndexedGraph,
     max_depth: int = DEFAULT_MAX_DESCENDANT_DEPTH,
     budget: Optional[EmbeddingBudget] = None,
 ) -> list[Embedding]:
@@ -320,7 +321,7 @@ def _clone_chain(node: EmbeddingNode) -> EmbeddingNode:
 
 def maximal_twigs(
     query: TwigQuery,
-    synopsis: GraphSynopsis,
+    synopsis: IndexedGraph,
     max_depth: int = DEFAULT_MAX_DESCENDANT_DEPTH,
 ) -> list[TwigQuery]:
     """The set of maximal twig queries of ``query`` over ``synopsis``.
@@ -353,7 +354,7 @@ def maximal_twigs(
     return list(unique.values())
 
 
-def _branch_path(synopsis: GraphSynopsis, chain: EmbeddingNode) -> Path:
+def _branch_path(synopsis: IndexedGraph, chain: EmbeddingNode) -> Path:
     steps: list[Step] = []
     current: Optional[EmbeddingNode] = chain
     while current is not None:
@@ -364,7 +365,7 @@ def _branch_path(synopsis: GraphSynopsis, chain: EmbeddingNode) -> Path:
     return Path(tuple(steps))
 
 
-def validate_embedding(embedding: Embedding, synopsis: GraphSynopsis) -> None:
+def validate_embedding(embedding: Embedding, synopsis: IndexedGraph) -> None:
     """Check that every embedding edge exists in the synopsis (tests)."""
     for node in embedding.nodes():
         for child in node.children:

@@ -96,7 +96,96 @@ class SynopsisEdge:
         return f"<Edge {self.source}->{self.target} {flags or '-'}>"
 
 
-class GraphSynopsis:
+class GraphIndex:
+    """Adjacency of a synopsis graph, built in one pass over its nodes and
+    edges; every list keeps node insertion order or ``edges`` order.
+
+    Attributes:
+        tags: node id -> tag.
+        by_tag: tag -> ids of the nodes carrying it.
+        out: node id -> outgoing edges.
+        into: node id -> incoming edges.
+        tagged: (node id, tag) -> ids of the node's children carrying tag.
+    """
+
+    __slots__ = ("tags", "by_tag", "out", "into", "tagged")
+
+    def __init__(self, nodes: Iterable, edges: Iterable[SynopsisEdge]):
+        self.tags: dict[int, str] = {}
+        self.by_tag: dict[str, list[int]] = {}
+        for node in nodes:
+            self.tags[node.node_id] = node.tag
+            self.by_tag.setdefault(node.tag, []).append(node.node_id)
+        self.out: dict[int, list[SynopsisEdge]] = {}
+        self.into: dict[int, list[SynopsisEdge]] = {}
+        self.tagged: dict[tuple[int, str], list[int]] = {}
+        for edge in edges:
+            self.out.setdefault(edge.source, []).append(edge)
+            self.into.setdefault(edge.target, []).append(edge)
+            self.tagged.setdefault(
+                (edge.source, self.tags[edge.target]), []
+            ).append(edge.target)
+
+
+class IndexedGraph:
+    """The read API shared by the built (:class:`GraphSynopsis`) and the
+    loaded (:class:`~repro.synopsis.persist.FrozenGraph`) graph.
+
+    Subclasses hold ``nodes`` (id -> node) and ``edges`` ((source, target)
+    -> edge) and set ``_index`` to None whenever either changes; adjacency
+    lookups go through the :class:`GraphIndex`, rebuilt on first use.
+    """
+
+    nodes: dict
+    edges: dict[tuple[int, int], SynopsisEdge]
+    _index: Optional[GraphIndex]
+
+    def index(self) -> GraphIndex:
+        """The graph's adjacency index."""
+        index = self._index
+        if index is None:
+            index = self._index = GraphIndex(self.nodes.values(), self.edges.values())
+        return index
+
+    def node(self, node_id: int):
+        """The synopsis node with the given id."""
+        try:
+            return self.nodes[node_id]
+        except KeyError:
+            raise SynopsisError(f"no synopsis node #{node_id}") from None
+
+    def edge(self, source: int, target: int) -> Optional[SynopsisEdge]:
+        """The edge source→target, or None when absent."""
+        return self.edges.get((source, target))
+
+    def children_of(self, node_id: int) -> list[SynopsisEdge]:
+        """Outgoing edges of a synopsis node."""
+        return list(self.index().out.get(node_id, ()))
+
+    def parents_of(self, node_id: int) -> list[SynopsisEdge]:
+        """Incoming edges of a synopsis node."""
+        return list(self.index().into.get(node_id, ()))
+
+    def nodes_with_tag(self, tag: str) -> list:
+        """All synopsis nodes whose elements carry ``tag``."""
+        return [self.nodes[node_id] for node_id in self.index().by_tag.get(tag, ())]
+
+    def iter_nodes(self) -> Iterator:
+        """All synopsis nodes (insertion order)."""
+        return iter(self.nodes.values())
+
+    @property
+    def node_count(self) -> int:
+        """Number of synopsis nodes."""
+        return len(self.nodes)
+
+    @property
+    def edge_count(self) -> int:
+        """Number of synopsis edges."""
+        return len(self.edges)
+
+
+class GraphSynopsis(IndexedGraph):
     """A partition of a document's elements plus the induced edge graph.
 
     Build one with :func:`label_split_synopsis` (the coarsest summary) or
@@ -111,8 +200,7 @@ class GraphSynopsis:
         #: assignment[element id] -> synopsis node id
         self.assignment = np.full(tree.element_count, -1, dtype=ID)
         self._next_id = 0
-        # lazy adjacency index over ``edges`` — rebuilt after mutations
-        self._adjacency: Optional[tuple[dict, dict]] = None
+        self._index: Optional[GraphIndex] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -174,6 +262,7 @@ class GraphSynopsis:
         )
         self._next_id += 1
         self.nodes[node.node_id] = node
+        self._index = None
         self.assignment[ordered] = node.node_id
         return node
 
@@ -189,7 +278,7 @@ class GraphSynopsis:
         the partial one walks ``node_ids`` in set iteration order, and for
         each member its child edges, then its parent edge.
         """
-        self._adjacency = None
+        self._index = None
         arena = self.arena
         if node_ids is None:
             self.edges = {}
@@ -255,57 +344,9 @@ class GraphSynopsis:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    def node(self, node_id: int) -> SynopsisNode:
-        """The synopsis node with the given id."""
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise SynopsisError(f"no synopsis node #{node_id}") from None
-
-    def edge(self, source: int, target: int) -> Optional[SynopsisEdge]:
-        """The edge source→target, or None when absent."""
-        return self.edges.get((source, target))
-
     def node_of(self, element: DocumentNode) -> int:
         """The synopsis node id containing ``element``."""
         return int(self.assignment[element.node_id])
-
-    def _adjacency_index(self) -> tuple[dict, dict]:
-        """(children, parents) edge lists per node id, in ``edges`` order."""
-        if self._adjacency is None:
-            children: dict[int, list[SynopsisEdge]] = {}
-            parents: dict[int, list[SynopsisEdge]] = {}
-            for edge in self.edges.values():
-                children.setdefault(edge.source, []).append(edge)
-                parents.setdefault(edge.target, []).append(edge)
-            self._adjacency = (children, parents)
-        return self._adjacency
-
-    def children_of(self, node_id: int) -> list[SynopsisEdge]:
-        """Outgoing edges of a synopsis node."""
-        return list(self._adjacency_index()[0].get(node_id, ()))
-
-    def parents_of(self, node_id: int) -> list[SynopsisEdge]:
-        """Incoming edges of a synopsis node."""
-        return list(self._adjacency_index()[1].get(node_id, ()))
-
-    def nodes_with_tag(self, tag: str) -> list[SynopsisNode]:
-        """All synopsis nodes whose elements carry ``tag``."""
-        return [node for node in self.nodes.values() if node.tag == tag]
-
-    def iter_nodes(self) -> Iterator[SynopsisNode]:
-        """All synopsis nodes (insertion order)."""
-        return iter(self.nodes.values())
-
-    @property
-    def node_count(self) -> int:
-        """Number of synopsis nodes."""
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        """Number of synopsis edges."""
-        return len(self.edges)
 
     # ------------------------------------------------------------------
     # element-level lookups over the arena
@@ -409,7 +450,7 @@ class GraphSynopsis:
         duplicate.arena = self.arena
         duplicate.assignment = self.assignment.copy()
         duplicate._next_id = self._next_id
-        duplicate._adjacency = None
+        duplicate._index = None
         duplicate.nodes = dict(self.nodes)
         duplicate.edges = {
             key: SynopsisEdge(

@@ -17,6 +17,7 @@ higher-dimensional ones, recovering joint information.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +27,7 @@ from ..histogram.centroid import CentroidHistogram
 from ..histogram.value import build_value_histogram
 from ..histogram.wavelet import WaveletHistogram
 from . import size as sizing
+from .compiled import CompiledSketch
 from .distributions import EdgeRef, exact_edge_distribution
 from .graph import GraphSynopsis, label_split_synopsis
 
@@ -153,20 +155,95 @@ class ExtendedValueSummary:
         )
 
 
+class _Stats(dict):
+    """A statistics table of a :class:`TwigXSketch` (node id -> stats):
+    every write drops the sketch's compiled form.  The stored values are
+    not watched; install a new list rather than changing one in place."""
+
+    __slots__ = ("_sketch",)
+
+    def __init__(self, sketch: "TwigXSketch", items=()):
+        super().__init__(items)
+        self._sketch = weakref.ref(sketch)
+
+    def _changed(self) -> None:
+        sketch = self._sketch()
+        if sketch is not None:
+            sketch._compiled = None
+
+    def __setitem__(self, key, value):
+        self._changed()
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self._changed()
+        super().__delitem__(key)
+
+    def __ior__(self, other):
+        self._changed()
+        return super().__ior__(other)
+
+    def pop(self, *args):
+        self._changed()
+        return super().pop(*args)
+
+    def popitem(self):
+        self._changed()
+        return super().popitem()
+
+    def setdefault(self, key, default=None):
+        self._changed()
+        return super().setdefault(key, default)
+
+    def update(self, *args, **kwargs):
+        self._changed()
+        super().update(*args, **kwargs)
+
+    def clear(self):
+        self._changed()
+        super().clear()
+
+
+def _stats_table(name: str) -> property:
+    """A statistics attribute: assigning a plain dict installs it as a
+    :class:`_Stats` table and drops the compiled form."""
+    slot = "_" + name
+
+    def get(sketch: "TwigXSketch") -> _Stats:
+        return getattr(sketch, slot)
+
+    def put(sketch: "TwigXSketch", table: dict) -> None:
+        setattr(sketch, slot, _Stats(sketch, table))
+        sketch._compiled = None
+
+    return property(get, put)
+
+
 class TwigXSketch:
     """Graph synopsis + stabilities + edge/value histograms.
 
     Create with :meth:`coarsest` and refine through the operations in
     :mod:`repro.build`; estimate twig selectivities with
-    :class:`repro.estimation.estimator.TwigEstimator`.
+    :class:`repro.estimation.estimator.TwigEstimator`, which reads the
+    sketch's :meth:`compiled` form.  Change the sketch only through its
+    methods and by assigning entries of its statistics tables: both drop
+    the compiled form, which is then rebuilt on the next estimate.
     """
+
+    #: node id -> the node's edge histograms (disjoint scopes)
+    edge_stats = _stats_table("edge_stats")
+    #: node id -> the node's value histogram
+    value_stats = _stats_table("value_stats")
+    #: node id -> the node's extended value histograms
+    extended_stats = _stats_table("extended_stats")
 
     def __init__(self, graph: GraphSynopsis, config: XSketchConfig):
         self.graph = graph
         self.config = config
-        self.edge_stats: dict[int, list[EdgeHistogram]] = {}
-        self.value_stats: dict[int, ValueSummary] = {}
-        self.extended_stats: dict[int, list[ExtendedValueSummary]] = {}
+        self._compiled: Optional[CompiledSketch] = None
+        self.edge_stats = {}
+        self.value_stats = {}
+        self.extended_stats = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -301,6 +378,14 @@ class TwigXSketch:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
+    def compiled(self) -> CompiledSketch:
+        """The sketch's compiled form (see :mod:`repro.synopsis.compiled`),
+        built on first use and kept until the sketch changes."""
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = CompiledSketch(self)
+        return compiled
+
     def histograms_at(self, node_id: int) -> list[EdgeHistogram]:
         """The edge histograms stored for ``node_id`` (possibly empty)."""
         return self.edge_stats.get(node_id, [])
@@ -398,6 +483,7 @@ class TwigXSketch:
             else self.config.initial_value_buckets
         )
         own_extended = self.extended_stats.get(node_id, [])
+        self._compiled = None
         first, second = self.graph.split_node(node_id, part)
         self.edge_stats.pop(node_id, None)
         self.value_stats.pop(node_id, None)
