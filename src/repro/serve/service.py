@@ -96,7 +96,8 @@ class EstimateResponse:
         sketch: the registered sketch name the request addressed.
         latency: wall-clock seconds spent serving the request.
         warnings: one entry per degradation event (tier failure, circuit
-            skip, deadline exhaustion, chain collapse), in order.
+            skip, deadline exhaustion, chain collapse, degenerate ratios
+            the twig tier used as 0), in order.
     """
 
     estimate: float
@@ -576,15 +577,23 @@ class EstimatorService:
     ) -> float:
         if tier == TIER_TWIG:
             if batch is not None:
-                return batch.estimator.estimate_many(
+                report = batch.estimator.report_many(
                     [query], context=batch.context
                 )[0]
-            return TwigEstimator(
-                entry.sketch,
-                max_embeddings=self.max_embeddings,
-                metrics=self.metrics,
-                explain=explain,
-            ).estimate(query)
+            else:
+                report = TwigEstimator(
+                    entry.sketch,
+                    max_embeddings=self.max_embeddings,
+                    metrics=self.metrics,
+                    explain=explain,
+                ).report(query)
+            if report.clamped:
+                warnings.append(
+                    f"twig tier used {report.clamped} degenerate ratio(s) "
+                    f"as 0 (zero extent or non-finite count; corrupted "
+                    f"statistics?)"
+                )
+            return report.selectivity
         if tier == TIER_PATH:
             chain, collapsed = _primary_chain(query)
             if collapsed:
