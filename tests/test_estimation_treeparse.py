@@ -167,3 +167,30 @@ class TestBranchConditioningEffect:
         independent = TwigEstimator(sketch, branch_conditioning=False)
         assert conditioned.estimate(query) == pytest.approx(truth, rel=0.01)
         assert independent.estimate(query) > truth * 10
+
+
+class TestStaticPlanSharing:
+    def test_nodes_differing_only_in_branches_plan_apart(self, sketch):
+        # two children on the paper node with the same (no) children: one
+        # branches on year, which the histogram covers and absorbs, the
+        # other on title, which stays an independent branch factor
+        paper = nid(sketch, "paper")
+        sketch.edge_stats[paper] = [
+            sketch.make_edge_histogram(
+                paper,
+                (
+                    EdgeRef(paper, nid(sketch, "keyword")),
+                    EdgeRef(paper, nid(sketch, "year")),
+                ),
+                buckets=8,
+            )
+        ]
+        query = parse_for_clause(
+            "for a in author, p in a/paper[year], q in a/paper[title]"
+        )
+        (embedding,) = enumerate_embeddings(query, sketch.graph)
+        plans = tree_parse(embedding, sketch)
+        with_year, with_title = embedding.root.children
+        assert plans[id(with_year)].absorbed_branches == {0}
+        assert plans[id(with_title)].absorbed_branches == set()
+        assert not plans[id(with_title)].uses
